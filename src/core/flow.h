@@ -91,18 +91,17 @@ struct FlowMetrics {
   double runtime_s = 0.0;
   StageTimes stages;
   LegalityReport legality;
-  // Incremental-estimation observability: ledger stats accumulated over
-  // the padding rounds plus the RSMT topology-cache hit rate.
+  // Estimation counters over the padding rounds plus the RSMT
+  // topology-cache hit rate. perfbench/ reads both.
   IncrementalStats estimation;
   double rsmt_cache_hit_rate = 0.0;
-  // Padding feature-pipeline observability: extraction wall time,
-  // dirty-Gcell fraction, per-net cache hit rates, verified rebuilds
-  // (see padding/features.h).
+  // Padding feature-pipeline counters (extraction wall time, Gcells and
+  // nets processed; see padding/features.h). perfbench/ reads them.
   PaddingStageMetrics padding_stage;
   RouterStageMetrics router;
   // Legalization / detailed-placement stage observability (wall time,
-  // dirty-row fraction, displacement — see LegalizeResult /
-  // DetailedPlaceResult). dp is all-zero unless run_dp is set.
+  // rows, displacement — see LegalizeResult / DetailedPlaceResult). dp
+  // is all-zero unless run_dp is set. perfbench/ reads legalize.
   LegalizeResult legalize;
   DetailedPlaceResult dp;
   // Estimated total overflow (%) after each padding-round congestion
@@ -156,9 +155,8 @@ class PufferFlow {
   // --- staged flow (trial orchestration; see docs/architecture.md) ----
   //
   // run_prefix() executes the trial-invariant part of the flow — initial
-  // placement plus global placement down to `fork_overflow` — and then
-  // warms the congestion ledger with one estimate. It captures the fork
-  // state (positions, RNG stream, serialized ledger) into *out.
+  // placement plus global placement down to `fork_overflow`. It captures
+  // the fork state (positions, RNG stream) into *out.
   // `fork_overflow` must be >= the largest padding trigger tau any
   // continuation will use, so no padding round ever lands in the prefix.
   //
@@ -188,11 +186,6 @@ class PufferFlow {
   // topology cache instead of rebuilding every net's tree.
   CongestionEstimator* estimator() { return estimator_.get(); }
 
-  // The flow's legalizer. Its ledger persists across run() calls, so
-  // repeat invocations on a perturbed design (padding re-tuning, TPE
-  // trials re-running the flow) legalize incrementally.
-  IncrementalLegalizer& legalizer() { return legalizer_; }
-
   // Installs a per-round telemetry/cancellation observer, invoked (after
   // the pruning callback, when both are set) at every padding-round
   // boundary of run() and run_from(). Read-only: installing a hook never
@@ -210,10 +203,9 @@ class PufferFlow {
   Design& design_;
   PufferConfig config_;
   ProgressHook progress_hook_;
-  // Owned by the flow so the demand ledger and topology cache persist
-  // across padding rounds (and outlive run() for warm evaluation).
+  // Owned by the flow so the topology cache persists across padding
+  // rounds (and outlives run() for warm evaluation).
   std::unique_ptr<CongestionEstimator> estimator_;
-  IncrementalLegalizer legalizer_;
 };
 
 // Runs the evaluation router on the design's current placement. `warm`

@@ -5,9 +5,8 @@
 //  * RowColRmq -- per-row and per-column sparse-table range-maximum
 //    queries over a row-major int64 grid. Build is O(nx*ny*log) once;
 //    row_max/col_max answer any span in O(1), turning best_path_cg's
-//    Eq. 13 span maxima from O(span) scans into constant time. Rows and
-//    columns can be re-tabulated individually (rebuild_row/rebuild_col)
-//    after a dirty round touches them.
+//    Eq. 13 span maxima from O(span) scans into constant time. build()
+//    tabulates every row and column through rebuild_row/rebuild_col.
 //
 //  * SummedAreaTable -- inclusive 2D prefix sums of an int64 grid, so any
 //    window sum (the CNN-style sur_cg/sur_pin means, Eq. 11/12) is four

@@ -35,12 +35,13 @@
 // cost on the frozen field (see maze.h): a search aborts the moment its
 // monotone front proves no admissible candidate exists.
 //
-// Determinism contract (shared with the PR 2 demand ledger): the maze
-// phase reads only the frozen round-start field plus the segment's own
-// path, per-thread arenas hold all scratch, and every demand mutation
-// happens on the serial commit path in segment order -- so RouteResult
-// (demand maps, HOF/VOF, wirelength, reroute counts) is bit-identical
-// for any PUFFER_THREADS value.
+// Determinism contract (demand arithmetic is exact, see
+// grid/demand_quantum.h): the maze phase reads only the frozen
+// round-start field plus the segment's own path, per-thread arenas hold
+// all scratch, and every demand mutation happens on the serial commit
+// path in segment order -- so RouteResult (demand maps, HOF/VOF,
+// wirelength, reroute counts) is bit-identical for any PUFFER_THREADS
+// value.
 //
 // Demand accounting matches the Gcell-based resource model used by the
 // congestion estimator: every Gcell a path crosses in a direction

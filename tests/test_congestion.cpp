@@ -1,8 +1,15 @@
 // Tests for the routing-detour-imitation-based congestion estimator
-// (paper SS III-A): probabilistic I/L demand, pin penalty, and the
-// detour-imitating expansion.
+// (paper SS III-A): probabilistic I/L demand, pin penalty, the
+// detour-imitating expansion, thread-count invariance and config
+// validation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <vector>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "congestion/estimator.h"
 #include "io/synthetic.h"
 
@@ -228,6 +235,91 @@ TEST(Estimator, WorksOnSyntheticDesign) {
   EXPECT_EQ(r.trees.size(), d.nets.size());
   EXPECT_GT(r.maps.dmd_h.sum(), 0.0);
   EXPECT_GT(r.maps.dmd_v.sum(), 0.0);
+}
+
+// Estimates over a randomized move sequence are bit-identical across
+// worker counts: the per-round checksums of a 1-thread run and an
+// 8-thread run agree.
+TEST(Estimator, ThreadCountInvariance) {
+  struct ThreadGuard {
+    ~ThreadGuard() { par::set_num_threads(0); }
+  } guard;
+  SyntheticSpec spec;
+  spec.num_cells = 260;
+  spec.num_nets = 400;
+  spec.num_macros = 2;
+  spec.seed = 17;
+  CongestionConfig cfg;
+  cfg.pin_crowding = 1.0;  // exercise the nonlinear pin layer too
+  std::vector<std::uint64_t> checksums[2];
+  const int threads[2] = {1, 8};
+  for (int t = 0; t < 2; ++t) {
+    par::set_num_threads(threads[t]);
+    Design d = generate_synthetic(spec);
+    const CongestionEstimator est(d, cfg);
+    Rng rng(99);
+    for (int round = 0; round < 6; ++round) {
+      if (round > 0) {
+        for (Cell& c : d.cells) {
+          if (!c.movable() || !rng.chance(0.2)) continue;
+          c.x = clamp(c.x + static_cast<double>(rng.uniform_int(-30, 30)),
+                      d.die.xlo, d.die.xhi - c.width);
+          c.y = clamp(c.y + static_cast<double>(rng.uniform_int(-30, 30)),
+                      d.die.ylo, d.die.yhi - c.height);
+        }
+      }
+      checksums[t].push_back(demand_checksum(est.estimate().maps));
+    }
+    EXPECT_EQ(est.incremental_stats().calls, 6);
+  }
+  EXPECT_EQ(checksums[0], checksums[1]);
+}
+
+TEST(CongestionConfig, ValidationRejectsUnusableValues) {
+  const Design d = empty_design();
+  const auto rejects = [&](const CongestionConfig& cfg, const char* field) {
+    try {
+      validate_congestion_config(cfg);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(CongestionEstimator(d, cfg), std::invalid_argument) << field;
+  };
+  CongestionConfig cfg;
+  cfg.rows_per_gcell = 0.0;
+  rejects(cfg, "rows_per_gcell");
+  cfg.rows_per_gcell = std::nan("");
+  rejects(cfg, "rows_per_gcell");
+  cfg.rows_per_gcell = INFINITY;
+  rejects(cfg, "rows_per_gcell");
+  cfg = CongestionConfig{};
+  cfg.expand_radius = -1;
+  rejects(cfg, "expand_radius");
+  cfg = CongestionConfig{};
+  cfg.pin_penalty = -0.1;
+  rejects(cfg, "pin_penalty");
+  cfg.pin_penalty = std::nan("");
+  rejects(cfg, "pin_penalty");
+  cfg = CongestionConfig{};
+  cfg.pin_crowding = INFINITY;
+  rejects(cfg, "pin_crowding");
+  cfg = CongestionConfig{};
+  cfg.cache_quantum = 0.0;
+  rejects(cfg, "cache_quantum");
+  cfg.cache_quantum = INFINITY;
+  rejects(cfg, "cache_quantum");
+  cfg = CongestionConfig{};
+  cfg.congested_ratio = 0.0;
+  rejects(cfg, "congested_ratio");
+
+  // Boundary values that stay valid.
+  cfg = CongestionConfig{};
+  cfg.expand_radius = 0;
+  cfg.pin_penalty = 0.0;
+  cfg.pin_crowding = 0.0;
+  EXPECT_NO_THROW(CongestionEstimator(d, cfg));
 }
 
 }  // namespace

@@ -92,8 +92,6 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   snap.padding = {0.0, 0.5, 0.0};
   snap.rng_key = 33;
   snap.rng_counter = 44;
-  snap.congestion_fingerprint = 55;
-  snap.ledger_blob = "opaque-bytes";
 
   const std::string bytes = encode_snapshot(snap);
   const FlowSnapshot back = decode_snapshot(bytes);
@@ -105,8 +103,6 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   EXPECT_EQ(back.padding, snap.padding);
   EXPECT_EQ(back.rng_key, snap.rng_key);
   EXPECT_EQ(back.rng_counter, snap.rng_counter);
-  EXPECT_EQ(back.congestion_fingerprint, snap.congestion_fingerprint);
-  EXPECT_EQ(back.ledger_blob, snap.ledger_blob);
 
   // A single flipped byte must fail the checksum trailer.
   std::string corrupt = bytes;
@@ -115,6 +111,24 @@ TEST(Checkpoint, SnapshotCodecRejectsCorruption) {
   // Truncation must fail too.
   const std::string truncated = bytes.substr(0, bytes.size() - 5);
   EXPECT_THROW(decode_snapshot(truncated), CheckpointError);
+  // Other format versions are refused before the payload is parsed:
+  // version 1 carried a congestion warm-start blob this layout lacks, so
+  // an old checkpoint directory fails loudly instead of being misparsed.
+  for (const std::uint32_t version : {1u, 3u}) {
+    std::string other = bytes;
+    for (int i = 0; i < 4; ++i) {
+      other[4 + i] = static_cast<char>((version >> (8 * i)) & 0xffu);
+    }
+    try {
+      decode_snapshot(other);
+      ADD_FAILURE() << "version " << version << " accepted";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported snapshot version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 
   EXPECT_THROW(load_snapshot("/nonexistent/dir/prefix.ckpt"), CheckpointError);
 }
@@ -141,7 +155,6 @@ TEST_F(OrchestrateTest, CheckpointRoundTripBitIdentical) {
     EXPECT_EQ(loaded.x, snap.x);
     EXPECT_EQ(loaded.y, snap.y);
     EXPECT_EQ(loaded.rng_key, snap.rng_key);
-    EXPECT_EQ(loaded.ledger_blob, snap.ledger_blob);
 
     // Fresh design (generator positions, no initial_place), fresh flow:
     // the restore path must reproduce the continuation exactly.

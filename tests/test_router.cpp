@@ -8,7 +8,9 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "congestion/demand_ledger.h"
+#include "congestion/estimator.h"
+#include "core/flow.h"
+#include "grid/demand_quantum.h"
 #include "io/synthetic.h"
 #include "router/global_router.h"
 #include "router/maze.h"
@@ -385,6 +387,31 @@ TEST(Router, WirelengthLowerBoundedByHpwl) {
   // the Gcell grid; sanity-check that the routed WL is positive and not
   // absurdly below HPWL.
   EXPECT_GT(r.wirelength, 0.2 * d.total_hpwl());
+}
+
+// The warm evaluation router (sharing the estimator's topology cache)
+// must produce exactly the same routing result as a cold router.
+TEST(Router, WarmRouterMatchesColdRouter) {
+  SyntheticSpec spec;
+  spec.num_cells = 260;
+  spec.num_nets = 400;
+  spec.num_macros = 2;
+  spec.seed = 37;
+  const Design d = generate_synthetic(spec);
+  CongestionConfig ccfg;
+  ccfg.pin_crowding = 1.0;
+  CongestionEstimator est(d, ccfg);
+  est.estimate();  // populate the topology cache
+
+  const RouterConfig rcfg;
+  const RouteResult cold = evaluate_routability(d, rcfg);
+  const RouteResult warm = evaluate_routability(d, rcfg, &est);
+  EXPECT_GT(est.tree_cache().hits(), 0u);
+  EXPECT_EQ(demand_checksum(cold.maps), demand_checksum(warm.maps));
+  EXPECT_DOUBLE_EQ(cold.wirelength, warm.wirelength);
+  EXPECT_EQ(cold.segments, warm.segments);
+  EXPECT_DOUBLE_EQ(cold.overflow.hof_pct, warm.overflow.hof_pct);
+  EXPECT_DOUBLE_EQ(cold.overflow.vof_pct, warm.overflow.vof_pct);
 }
 
 }  // namespace

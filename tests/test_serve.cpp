@@ -441,17 +441,27 @@ TEST(ServeSessionManager, StateMachineAndAdmissionControl) {
 }
 
 TEST(ServeSessionManager, BadConfigFailsTheSession) {
+  // An unknown key fails the config parse; a known key with an unusable
+  // value fails config validation when the flow builds its estimator.
+  const struct {
+    const char* text;
+    const char* reason;
+  } cases[] = {{"no_such_knob = 1\n", "no_such_knob"},
+               {"congestion.rows_per_gcell = 0\n", "rows_per_gcell"}};
   ManagerHarness h(manager_config("serve_mgr_failed"));
-  SubmitMsg job = small_job("bad-config");
-  job.config_text = "no_such_knob = 1\n";
-  const auto res = h.mgr().submit(encode_submit(job));
-  ASSERT_TRUE(res.accepted);  // the netlist is fine; strategy fails later
-  const ServeSession* s = h.settle(res.session_id);
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->state, SessionState::kFailed);
-  EXPECT_NE(s->summary.message.find("no_such_knob"), std::string::npos);
-  std::string body;
-  EXPECT_FALSE(h.mgr().result_body(res.session_id, &body));
+  for (const auto& c : cases) {
+    SubmitMsg job = small_job(c.reason);
+    job.config_text = c.text;
+    const auto res = h.mgr().submit(encode_submit(job));
+    ASSERT_TRUE(res.accepted);  // the netlist is fine; strategy fails later
+    const ServeSession* s = h.settle(res.session_id);
+    ASSERT_NE(s, nullptr);
+    EXPECT_EQ(s->state, SessionState::kFailed) << c.text;
+    EXPECT_NE(s->summary.message.find(c.reason), std::string::npos)
+        << s->summary.message;
+    std::string body;
+    EXPECT_FALSE(h.mgr().result_body(res.session_id, &body));
+  }
 }
 
 TEST(ServeSessionManager, RestartRecoversFinishedAndRerunsUnfinished) {
